@@ -5,15 +5,27 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# lap NAME prints the wall time since the previous lap (or the start of
+# the script) to stderr, so each gate's cost shows in the CI log.
+last=$(date +%s)
+lap() {
+	now=$(date +%s)
+	echo "ci: $1 took $((now - last))s" >&2
+	last=$now
+}
+
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on:" >&2
 	echo "$unformatted" >&2
 	exit 1
 fi
+lap gofmt
 
 go vet ./...
+lap vet
 go build ./...
+lap build
 
 # Doc lint: every internal package must carry a package comment (the doc.go
 # convention) — godoc and pkgsite render these as the package synopsis, and
@@ -24,40 +36,47 @@ if [ -n "$undocumented" ]; then
 	echo "$undocumented" >&2
 	exit 1
 fi
+lap doc-lint
 
 # Quick path first: the plain -short suite (including the crash-injection
 # sweeps) finishes in seconds and catches most breakage before the full
 # -race pass, which takes ~15 minutes on a 1-CPU box.
 go test -short ./...
+lap test-short
 
 # Fault-injection gate: every fault-stage and degraded-mode test by name
 # (injector semantics, outage degradation per organization, crash
 # composition, determinism across worker counts), without the race
 # detector so it stays quick.
 go test -run 'Fault|Degraded' -count=1 ./...
+lap fault-gate
 
 # The report sweeps re-canonicalize each trace per pass (the streaming
 # pipeline's CPU-for-memory tradeoff), which under the race detector's
 # ~10x slowdown pushes the package past go test's default 10m timeout on
 # the 1-CPU CI box.
 go test -race -timeout 30m ./...
+lap test-race
 
 # Bench smoke: one iteration of every benchmark under the race detector, so
 # benchmarks can't rot (and the allocation-budget tests above can't drift
 # from what the benchmarks actually exercise).
 go test -race -run '^$' -bench . -benchtime 1x ./...
+lap bench-smoke
 
 # Streaming-memory smoke: peak heap while simulating a steady-live-set
 # trace must stay within 2x when the trace is grown 10x longer. Fails
 # loudly if any pipeline stage regresses to materializing the trace (or
 # retaining per-file state past deletion).
 go run ./cmd/nvbench -stream-smoke
+lap stream-smoke
 
 # Sharded-pipeline smoke: the Figure 2/3 sweeps rendered sharded at -j 4
 # must be byte-identical to the sequential render, and on a box with
 # >= 4 CPUs the sharded run must be at least 1.5x faster (the speedup
 # gate self-skips on smaller boxes; the divergence gate always runs).
 go run ./cmd/nvbench -shard-smoke
+lap shard-smoke
 
 # Durable kill/reopen gate: SIGKILL a child process (and cut the power via
 # the durable snapshot) at trace-event boundaries, reopen the image file,
@@ -66,13 +85,16 @@ go run ./cmd/nvbench -shard-smoke
 # tests by name so a filtered test run can't silently drop them, then the
 # nvbench smoke drives the same harness through the public facade.
 go test -short -run 'Durable|Image' -count=1 ./internal/crash/ ./internal/nvram/ ./internal/lfs/ ./internal/faults/
+lap durable-gate
 go run ./cmd/nvbench -durable-smoke
+lap durable-smoke
 
 # Fleet population gate: a 100k-client, 16-shard fleet run must hold peak
 # heap within 2x of the 10k-client run (per-client and per-segment state
 # has to retire), and the fleet experiment must render byte-identical
 # output at -j 1 and -j 8.
 go run ./cmd/nvbench -fleet-smoke
+lap fleet-smoke
 
 # Live-service gate: the daemon's protocol/admission/panic-isolation
 # tests, the image lock and corruption-fuzz tests, the wall-clock seam,
@@ -83,4 +105,6 @@ go run ./cmd/nvbench -fleet-smoke
 # committed-byte loss (recording the replay ops/s + p99 baseline).
 go test -run 'Daemon|Live|Lock|Corrupt|Clock|Frame|Reservoir' -count=1 \
 	./internal/daemon/ ./internal/crash/ ./internal/nvram/ ./internal/faults/ ./internal/trace/ ./internal/stats/
+lap live-service-gate
 go run ./cmd/nvbench -daemon-smoke
+lap daemon-smoke

@@ -298,8 +298,9 @@ func policyShardRow(ctx context.Context, ws *Workspace, tr int, kind cache.Polic
 	defer putArena(arena)
 	steppers := make([]*sim.Stepper, len(sizes))
 	for i, mb := range sizes {
-		// Only stepper 0's server and size table survive NewBroadcast's
-		// yoking; don't pre-size the ones about to be discarded.
+		// NewBroadcast keeps only stepper 0's lockstep (consistency
+		// server and size table) and discards the rest; don't pre-size
+		// the ones about to be discarded.
 		fh := 0
 		if i == 0 {
 			fh = filesHint

@@ -2,60 +2,27 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"nvramfs/internal/cache"
-	"nvramfs/internal/consist"
 	"nvramfs/internal/prep"
 )
 
 // Broadcast drives several steppers over one op stream in lockstep while
-// sharing the operation's cache-independent work — the consistency
+// running the operation's cache-independent work — the consistency
 // protocol, file-size tracking, and the per-file touched-client index —
-// across all of them. The report sweeps use it to simulate every NVRAM
-// size of a row for one decode pass and one protocol pass.
-//
-// Sharing is sound because for the NVRAM-staging cache models the
-// consistency server's evolution is a pure function of the op stream,
-// never of cache contents: Open decides and clears the recall obligation
-// itself (so the follow-up Flushed call is a no-op whether or not the
-// recalled cache held dirty bytes), Close/Write/Deleted/FlushedClient are
-// unconditional, and replacement write-backs bypass the server entirely.
-// The two couplings that would break this are rejected by NewBroadcast:
-// the volatile model (whose Fsync informs the server) and fault injection
-// (whose delivery stage feeds cache-dependent write-backs into the
-// server's replay detector).
-//
-// Every stepper's state after Apply is exactly the state Stepper.apply
-// would have produced for the same op; TestBroadcastMatchesIndependentRuns
-// holds the two paths equal.
+// once for all of them. The report sweeps use it to simulate every NVRAM
+// size of a row for one decode pass and one protocol pass. Every
+// stepper's state after Apply is exactly the state a standalone run of
+// its configuration reaches, since both go through the same apply.
 type Broadcast struct {
-	steppers   []*Stepper
-	server     *consist.Server
-	sizes      map[uint64]int64
-	writesOnly bool
-	// touched lists, per file in ascending order, the clients that ever
-	// issued a read or write on it — a conservative superset of the
-	// clients whose caches can hold the file's blocks, letting deletes
-	// skip the (no-op) block walk on every other client.
-	touched map[uint64][]uint32
-	// noAdvance marks steppers whose model kind has a no-op Advance
-	// (unified and write-aside stage writes in NVRAM and run no delayed
-	// write-back clock), letting Apply skip the per-stepper, per-client
-	// interface calls that would do nothing.
-	noAdvance []bool
-	// shard is the client shard every yoked stepper runs in (the zero
-	// value is unsharded); model access is gated on ownership exactly as
-	// in Stepper.apply, so K shard broadcasts over the same stream
-	// partition a row's per-client work without diverging.
-	shard ShardSel
-	idx   int
+	ls *lockstep
 }
 
-// NewBroadcast yokes the given fresh steppers together: their consistency
-// servers and size tables are replaced by shared ones, so they must not
-// have applied any operations yet. All steppers must agree on WritesOnly,
-// use an NVRAM-staging model, and run without fault injection.
+// NewBroadcast yokes the given fresh steppers together: stepper 0's
+// lockstep (consistency server, size table, touched index) is widened to
+// drive them all and the others' are discarded, so none may have applied
+// any operations yet. All steppers must agree on WritesOnly and client
+// shard, use an NVRAM-staging model, and run without fault injection.
 func NewBroadcast(steppers []*Stepper) (*Broadcast, error) {
 	if len(steppers) == 0 {
 		return nil, fmt.Errorf("sim: broadcast over no steppers")
@@ -77,195 +44,13 @@ func NewBroadcast(steppers []*Stepper) (*Broadcast, error) {
 	if err := steppers[0].cfg.Shard.validate(); err != nil {
 		return nil, err
 	}
-	b := &Broadcast{
-		steppers:   steppers,
-		server:     steppers[0].server,
-		sizes:      steppers[0].sizes,
-		writesOnly: steppers[0].cfg.WritesOnly,
-		shard:      steppers[0].cfg.Shard,
-		touched:    make(map[uint64][]uint32),
+	ls := steppers[0].ls
+	for _, d := range steppers[1:] {
+		ls.yoke(d)
 	}
-	b.noAdvance = make([]bool, len(steppers))
-	for i, d := range steppers {
-		d.server = b.server
-		d.sizes = b.sizes
-		b.noAdvance[i] = d.cfg.Model == cache.ModelUnified || d.cfg.Model == cache.ModelWriteAside
-	}
-	return b, nil
+	return &Broadcast{ls: ls}, nil
 }
 
-// Steppers returns the yoked steppers (for Finish/Release).
-func (b *Broadcast) Steppers() []*Stepper { return b.steppers }
-
-// touch records that a client read or wrote a file.
-func (b *Broadcast) touch(client uint32, file uint64) {
-	tc := b.touched[file]
-	i := sort.Search(len(tc), func(i int) bool { return tc[i] >= client })
-	if i < len(tc) && tc[i] == client {
-		return
-	}
-	tc = append(tc, 0)
-	copy(tc[i+1:], tc[i:])
-	tc[i] = client
-	b.touched[file] = tc
-}
-
-// Apply applies one operation to every stepper, running the shared
-// protocol and bookkeeping once. It mirrors Stepper.apply case by case.
-func (b *Broadcast) Apply(op prep.Op) error {
-	owned := b.shard.Owns(op.Client)
-	for i, d := range b.steppers {
-		d.now = op.Time
-		d.curClient = op.Client
-		if !owned {
-			continue
-		}
-		m, err := d.model(op.Client)
-		if err != nil {
-			return err
-		}
-		if !b.noAdvance[i] {
-			m.Advance(op.Time)
-		}
-	}
-
-	switch op.Kind {
-	case prep.Open:
-		res := b.server.Open(op.Client, op.File, op.WriteMode)
-		ownRecall := res.RecallFrom != consist.NoClient && b.shard.Owns(res.RecallFrom)
-		for _, d := range b.steppers {
-			if ownRecall {
-				wm, err := d.model(res.RecallFrom)
-				if err != nil {
-					return err
-				}
-				wm.Advance(op.Time)
-				d.curClient = res.RecallFrom
-				if wm.FlushFile(op.Time, op.File, cache.CauseCallback) > 0 {
-					// A no-op on the shared server (Open cleared the
-					// obligation above), kept for parity with Stepper.apply.
-					b.server.Flushed(res.RecallFrom, op.File)
-				}
-				d.curClient = op.Client
-			}
-			if res.JustDisabled {
-				for _, c := range d.clientOrder() {
-					d.curClient = c
-					d.models[c].Invalidate(op.Time, op.File)
-				}
-				d.curClient = op.Client
-			} else if res.InvalidateOpener && owned {
-				d.models[op.Client].Invalidate(op.Time, op.File)
-			}
-		}
-
-	case prep.Close:
-		b.server.Close(op.Client, op.File)
-
-	case prep.Read:
-		if b.writesOnly {
-			break
-		}
-		if owned {
-			b.touch(op.Client, op.File)
-		}
-		if b.server.Disabled(op.File) {
-			if owned {
-				for _, d := range b.steppers {
-					d.models[op.Client].NoteConcurrent(true, op.Range.Len())
-					if h := d.cfg.Cache.Hooks; h != nil && h.Read != nil {
-						h.Read(op.Time, op.File, op.Range)
-					}
-				}
-			}
-			break
-		}
-		size := b.sizes[op.File]
-		if op.Range.End > size {
-			size = op.Range.End
-			b.sizes[op.File] = size
-		}
-		if owned {
-			for _, d := range b.steppers {
-				d.models[op.Client].Read(op.Time, op.File, op.Range, size)
-			}
-		}
-
-	case prep.Write:
-		if owned {
-			b.touch(op.Client, op.File)
-		}
-		if op.Range.End > b.sizes[op.File] {
-			b.sizes[op.File] = op.Range.End
-		}
-		if b.server.Disabled(op.File) {
-			if owned {
-				for _, d := range b.steppers {
-					d.models[op.Client].NoteConcurrent(false, op.Range.Len())
-					if h := d.cfg.Cache.Hooks; h != nil && h.Write != nil {
-						h.Write(op.Time, op.File, op.Range, cache.CauseConcurrent, d.cfg.Model.StagesWritesInNVRAM())
-					}
-				}
-			}
-		} else if owned {
-			for _, d := range b.steppers {
-				d.models[op.Client].Write(op.Time, op.File, op.Range)
-			}
-		}
-		b.server.Write(op.Client, op.File)
-
-	case prep.DeleteRange:
-		tc := b.touched[op.File]
-		for i, d := range b.steppers {
-			// Every client's clock still advances at the delete timestamp;
-			// the block walk runs only where blocks can exist.
-			if !b.noAdvance[i] {
-				for _, c := range d.clientOrder() {
-					d.curClient = c
-					d.models[c].Advance(op.Time)
-				}
-			}
-			for _, c := range tc {
-				if int(c) < len(d.models) && d.models[c] != nil {
-					d.curClient = c
-					d.models[c].DeleteRange(op.Time, op.File, op.Range)
-				}
-			}
-			d.curClient = op.Client
-			// Exactly-once across shards: the issuing client's shard fires it.
-			if h := d.cfg.Cache.Hooks; owned && h != nil && h.Delete != nil {
-				h.Delete(op.Time, op.File, op.Range)
-			}
-		}
-		if size := b.sizes[op.File]; op.Range.Start == 0 && op.Range.End >= size {
-			delete(b.sizes, op.File)
-			b.server.Deleted(op.File)
-		} else if op.Range.End >= size {
-			b.sizes[op.File] = op.Range.Start
-		}
-
-	case prep.Fsync:
-		if owned {
-			for _, d := range b.steppers {
-				d.models[op.Client].Fsync(op.Time, op.File)
-			}
-		}
-
-	case prep.MigrateFlush:
-		if owned {
-			for _, d := range b.steppers {
-				d.models[op.Client].FlushAll(op.Time, cache.CauseMigration)
-			}
-		}
-		b.server.FlushedClient(op.Client)
-
-	default:
-		return fmt.Errorf("sim: unknown op kind %v", op.Kind)
-	}
-
-	b.idx++
-	for _, d := range b.steppers {
-		d.idx++
-	}
-	return nil
-}
+// Apply applies one operation to every yoked stepper, running the shared
+// protocol and bookkeeping once.
+func (b *Broadcast) Apply(op prep.Op) error { return b.ls.apply(op) }

@@ -138,3 +138,41 @@ func TestBroadcastRejectsUnsupported(t *testing.T) {
 		t.Error("non-fresh stepper accepted")
 	}
 }
+
+// TestBroadcastTouchedIndexDrainsOnDelete churns many distinct files
+// through create, write, read, partial delete and whole-file delete on a
+// width-2 lockstep: every whole-file delete must retire the file's
+// touched-client entry along with its size, so a long-lived stepper's
+// per-file state stays bounded by the live file set.
+func TestBroadcastTouchedIndexDrainsOnDelete(t *testing.T) {
+	cfg := Config{Model: cache.ModelUnified, Cache: cache.Config{VolatileBlocks: 16, NVRAMBlocks: 8}}
+	bc, err := NewBroadcast([]*Stepper{NewStepper(nil, cfg), NewStepper(nil, cfg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := int64(0)
+	for f := uint64(1); f <= 2000; f++ {
+		writer, reader := uint32(f%5), uint32(f%5+1)
+		for _, op := range []prep.Op{
+			openOp(now, writer, f, true),
+			wop(now+1, writer, prep.Write, f, 0, 12288),
+			{Time: now + 2, Client: writer, Kind: prep.Close, File: f},
+			openOp(now+3, reader, f, false),
+			wop(now+4, reader, prep.Read, f, 0, 12288),
+			{Time: now + 5, Client: reader, Kind: prep.Close, File: f},
+			wop(now+6, writer, prep.DeleteRange, f, 4096, 12288),
+			wop(now+7, writer, prep.DeleteRange, f, 0, 4096),
+		} {
+			if err := bc.Apply(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now += 10
+	}
+	if n := len(bc.ls.touched); n != 0 {
+		t.Fatalf("touched index holds %d deleted files", n)
+	}
+	if n := len(bc.ls.sizes); n != 0 {
+		t.Fatalf("size table holds %d deleted files", n)
+	}
+}

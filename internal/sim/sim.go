@@ -75,9 +75,6 @@ type ShardSel struct {
 	Shards int
 }
 
-// Enabled reports whether the selector names a real shard (Shards > 1).
-func (s ShardSel) Enabled() bool { return s.Shards > 1 }
-
 // Owns reports whether client c belongs to this shard.
 func (s ShardSel) Owns(c uint32) bool {
 	return s.Shards <= 1 || int(c)%s.Shards == s.Index
@@ -134,14 +131,15 @@ func RunOps(ops []prep.Op, cfg Config) (*Result, error) {
 // through after applying ops[:k], so a stepped run and a straight run of
 // the same prefix are interchangeable.
 type Stepper struct {
-	src    prep.Source
-	idx    int
-	cfg    Config
-	server *consist.Server
+	src prep.Source
+	idx int
+	cfg Config
+	// ls is the lockstep that applies ops to this stepper: its own
+	// width-one lockstep, or a Broadcast's shared one.
+	ls *lockstep
 	// models is indexed directly by client id (ids are small and dense in
 	// the Sprite-like traces); nil entries are clients not yet seen.
 	models  []cache.Model
-	sizes   map[uint64]int64
 	clients []uint32 // known clients, sorted; rebuilt lazily
 	sorted  bool
 	now     int64
@@ -166,12 +164,8 @@ func NewStepper(src prep.Source, cfg Config) *Stepper {
 		// drivers) pass a longer-lived arena instead.
 		cfg.Cache.Arena = cache.NewBlockArena()
 	}
-	d := &Stepper{
-		src:    src,
-		cfg:    cfg,
-		server: consist.NewServerSized(cfg.FilesHint),
-		sizes:  make(map[uint64]int64, cfg.FilesHint),
-	}
+	d := &Stepper{src: src, cfg: cfg}
+	newLockstep(d).yoke(d)
 	if cfg.Faults != nil {
 		d.installFaultStage()
 	}
@@ -186,7 +180,7 @@ func NewStepper(src prep.Source, cfg Config) *Stepper {
 func (d *Stepper) installFaultStage() {
 	inner := d.cfg.Cache.Hooks
 	d.fault = faults.NewInjector(*d.cfg.Faults, func(now int64, dv faults.Delivery, replay bool) {
-		if first := d.server.DeliverWriteback(dv.File, dv.Seq); !first || replay {
+		if first := d.ls.server.DeliverWriteback(dv.File, dv.Seq); !first || replay {
 			return
 		}
 		if inner != nil && inner.Write != nil {
@@ -223,7 +217,7 @@ func (d *Stepper) Index() int { return d.idx }
 func (d *Stepper) Now() int64 { return d.now }
 
 // Server exposes the consistency server for invariant checks.
-func (d *Stepper) Server() *consist.Server { return d.server }
+func (d *Stepper) Server() *consist.Server { return d.ls.server }
 
 // CurrentClient returns the client whose cache model the stepper is
 // currently driving. Cache hooks carry no client identity, so an external
@@ -247,10 +241,9 @@ func (d *Stepper) StepTo(k int) error {
 		if !ok {
 			return fmt.Errorf("sim: op stream ended after %d ops, before StepTo(%d)", d.idx, k)
 		}
-		if err := d.apply(op); err != nil {
+		if err := d.ls.apply(op); err != nil {
 			return err
 		}
-		d.idx++
 	}
 	return nil
 }
@@ -265,23 +258,16 @@ func (d *Stepper) StepAll() error {
 		if !ok {
 			return nil
 		}
-		if err := d.apply(op); err != nil {
+		if err := d.ls.apply(op); err != nil {
 			return err
 		}
-		d.idx++
 	}
 }
 
-// Apply applies one caller-supplied operation, bypassing the source. The
-// lockstep sweep drivers use this to share a single decode pass across
-// many simultaneous configurations.
-func (d *Stepper) Apply(op prep.Op) error {
-	if err := d.apply(op); err != nil {
-		return err
-	}
-	d.idx++
-	return nil
-}
+// Apply applies one caller-supplied operation, bypassing the source (the
+// daemon pushes ops decoded off the wire). On a stepper yoked into a
+// Broadcast it applies the op to every yoked stepper.
+func (d *Stepper) Apply(op prep.Op) error { return d.ls.apply(op) }
 
 // StepToContext is StepTo with cooperative cancellation: the context is
 // checked every few hundred operations, so a long run (for example one
@@ -329,9 +315,9 @@ func (d *Stepper) Finish() *Result {
 	d.finish()
 	res := &Result{
 		PerClient:      make(map[uint32]*cache.Traffic, len(d.clients)),
-		Recalls:        d.server.Recalls,
-		DisableEvents:  d.server.DisableEvents,
-		ReplayedWrites: d.server.ReplayedWrites,
+		Recalls:        d.ls.server.Recalls,
+		DisableEvents:  d.ls.server.DisableEvents,
+		ReplayedWrites: d.ls.server.ReplayedWrites,
 		EndTime:        d.now,
 	}
 	if d.fault != nil {
@@ -384,145 +370,248 @@ func (d *Stepper) model(client uint32) (cache.Model, error) {
 	return m, nil
 }
 
-func (d *Stepper) apply(op prep.Op) error {
-	d.now = op.Time
-	if d.fault != nil {
-		d.fault.Advance(op.Time)
+// lockstep is the state one op stream drives, shared by every stepper it
+// yokes: the consistency protocol, file-size tracking, and the per-file
+// touched-client index. A standalone Stepper owns a lockstep of width
+// one; NewBroadcast yokes N fresh steppers into a lockstep of width N.
+// apply is the only code that applies an operation to cache models.
+//
+// Sharing is sound because for the NVRAM-staging cache models the
+// consistency server's evolution is a pure function of the op stream,
+// never of cache contents: Open decides and clears the recall obligation
+// itself (so the follow-up Flushed call is a no-op whether or not the
+// recalled cache held dirty bytes), Close/Write/Deleted/FlushedClient are
+// unconditional, and replacement write-backs bypass the server entirely.
+// The two couplings that would break this keep a lockstep at width one
+// (NewBroadcast rejects them): the volatile model (whose Fsync informs
+// the server) and fault injection (whose delivery stage feeds
+// cache-dependent write-backs into the server's replay detector).
+type lockstep struct {
+	steppers   []*Stepper
+	server     *consist.Server
+	sizes      map[uint64]int64
+	writesOnly bool
+	// touched lists, per live file in ascending order, the clients that
+	// read or wrote it since it was last deleted whole — a conservative
+	// superset of the clients whose caches can hold the file's blocks,
+	// letting deletes skip the (no-op) block walk on every other client.
+	touched map[uint64][]uint32
+	// noAdvance marks steppers whose model kind has a no-op Advance
+	// (unified and write-aside stage writes in NVRAM and run no delayed
+	// write-back clock), letting apply skip the per-stepper, per-client
+	// interface calls that would do nothing.
+	noAdvance []bool
+	// shard is the client shard every yoked stepper runs in (the zero
+	// value is unsharded). The server and size-table updates run for every
+	// op while model access is gated on ownership, so K shard locksteps
+	// over the same stream partition the per-client work without
+	// diverging.
+	shard ShardSel
+}
+
+// newLockstep builds an empty lockstep sized for d's configuration; yoke
+// then adds d (and, for a Broadcast, its row-mates).
+func newLockstep(d *Stepper) *lockstep {
+	return &lockstep{
+		server:     consist.NewServerSized(d.cfg.FilesHint),
+		sizes:      make(map[uint64]int64, d.cfg.FilesHint),
+		writesOnly: d.cfg.WritesOnly,
+		touched:    make(map[uint64][]uint32),
+		shard:      d.cfg.Shard,
 	}
-	d.curClient = op.Client
-	// A sharded stepper replays the whole stream but touches only the
-	// cache models of clients it owns; the server and size-table updates
-	// below run unconditionally so every shard's replica of that shared
-	// state evolves exactly as the sequential run's does.
-	owned := d.cfg.Shard.Owns(op.Client)
-	var m cache.Model
-	if owned {
-		var err error
-		m, err = d.model(op.Client)
+}
+
+// yoke makes the lockstep drive d.
+func (l *lockstep) yoke(d *Stepper) {
+	d.ls = l
+	l.steppers = append(l.steppers, d)
+	l.noAdvance = append(l.noAdvance, d.cfg.Model == cache.ModelUnified || d.cfg.Model == cache.ModelWriteAside)
+}
+
+// touch records that a client read or wrote a file.
+func (l *lockstep) touch(client uint32, file uint64) {
+	tc := l.touched[file]
+	if i, found := slices.BinarySearch(tc, client); !found {
+		l.touched[file] = slices.Insert(tc, i, client)
+	}
+}
+
+// apply applies one operation to every stepper of the lockstep and
+// advances each one's index.
+func (l *lockstep) apply(op prep.Op) error {
+	owned := l.shard.Owns(op.Client)
+	for i, d := range l.steppers {
+		d.now = op.Time
+		if d.fault != nil {
+			d.fault.Advance(op.Time)
+		}
+		d.curClient = op.Client
+		if !owned {
+			continue
+		}
+		m, err := d.model(op.Client)
 		if err != nil {
 			return err
 		}
-		m.Advance(op.Time)
+		if !l.noAdvance[i] {
+			m.Advance(op.Time)
+		}
 	}
 
 	switch op.Kind {
 	case prep.Open:
-		res := d.server.Open(op.Client, op.File, op.WriteMode)
-		if res.RecallFrom != consist.NoClient && d.cfg.Shard.Owns(res.RecallFrom) {
-			wm, err := d.model(res.RecallFrom)
-			if err != nil {
-				return err
+		res := l.server.Open(op.Client, op.File, op.WriteMode)
+		ownRecall := res.RecallFrom != consist.NoClient && l.shard.Owns(res.RecallFrom)
+		for _, d := range l.steppers {
+			if ownRecall {
+				wm, err := d.model(res.RecallFrom)
+				if err != nil {
+					return err
+				}
+				wm.Advance(op.Time)
+				d.curClient = res.RecallFrom
+				if wm.FlushFile(op.Time, op.File, cache.CauseCallback) > 0 {
+					// A no-op on the server (Open cleared the obligation
+					// itself), so skipping it on shards that don't own the
+					// recalled client cannot make their replicas diverge.
+					l.server.Flushed(res.RecallFrom, op.File)
+				}
+				d.curClient = op.Client
 			}
-			wm.Advance(op.Time)
-			d.curClient = res.RecallFrom
-			if wm.FlushFile(op.Time, op.File, cache.CauseCallback) > 0 {
-				// A no-op on the server (Open cleared the obligation
-				// itself), so skipping it on shards that don't own the
-				// recalled client cannot make their replicas diverge.
-				d.server.Flushed(res.RecallFrom, op.File)
+			if res.JustDisabled {
+				// Concurrent write-sharing: every cached copy is flushed
+				// and invalidated; subsequent I/O bypasses the caches.
+				// clientOrder holds only owned clients, so the walk shards
+				// itself.
+				for _, c := range d.clientOrder() {
+					d.curClient = c
+					d.models[c].Invalidate(op.Time, op.File)
+				}
+				d.curClient = op.Client
+			} else if res.InvalidateOpener && owned {
+				d.models[op.Client].Invalidate(op.Time, op.File)
 			}
-			d.curClient = op.Client
-		}
-		if res.JustDisabled {
-			// Concurrent write-sharing: every cached copy is flushed and
-			// invalidated; subsequent I/O bypasses the caches. clientOrder
-			// holds only owned clients, so the walk shards itself.
-			for _, c := range d.clientOrder() {
-				d.curClient = c
-				d.models[c].Invalidate(op.Time, op.File)
-			}
-			d.curClient = op.Client
-		} else if res.InvalidateOpener && owned {
-			m.Invalidate(op.Time, op.File)
 		}
 
 	case prep.Close:
-		d.server.Close(op.Client, op.File)
+		l.server.Close(op.Client, op.File)
 
 	case prep.Read:
-		if d.cfg.WritesOnly {
-			return nil
-		}
-		if d.server.Disabled(op.File) {
-			if owned {
-				m.NoteConcurrent(true, op.Range.Len())
-				if h := d.cfg.Cache.Hooks; h != nil && h.Read != nil {
-					h.Read(op.Time, op.File, op.Range)
-				}
-			}
-			return nil
-		}
-		size := d.sizes[op.File]
-		if op.Range.End > size {
-			size = op.Range.End
-			d.sizes[op.File] = size
+		if l.writesOnly {
+			break
 		}
 		if owned {
-			m.Read(op.Time, op.File, op.Range, size)
+			l.touch(op.Client, op.File)
+		}
+		if l.server.Disabled(op.File) {
+			if owned {
+				for _, d := range l.steppers {
+					d.models[op.Client].NoteConcurrent(true, op.Range.Len())
+					if h := d.cfg.Cache.Hooks; h != nil && h.Read != nil {
+						h.Read(op.Time, op.File, op.Range)
+					}
+				}
+			}
+			break
+		}
+		size := l.sizes[op.File]
+		if op.Range.End > size {
+			size = op.Range.End
+			l.sizes[op.File] = size
+		}
+		if owned {
+			for _, d := range l.steppers {
+				d.models[op.Client].Read(op.Time, op.File, op.Range, size)
+			}
 		}
 
 	case prep.Write:
-		if op.Range.End > d.sizes[op.File] {
-			d.sizes[op.File] = op.Range.End
+		if owned {
+			l.touch(op.Client, op.File)
 		}
-		if d.server.Disabled(op.File) {
+		if op.Range.End > l.sizes[op.File] {
+			l.sizes[op.File] = op.Range.End
+		}
+		if l.server.Disabled(op.File) {
 			if owned {
-				m.NoteConcurrent(false, op.Range.Len())
-				if h := d.cfg.Cache.Hooks; h != nil && h.Write != nil {
-					h.Write(op.Time, op.File, op.Range, cache.CauseConcurrent, d.cfg.Model.StagesWritesInNVRAM())
+				for _, d := range l.steppers {
+					d.models[op.Client].NoteConcurrent(false, op.Range.Len())
+					if h := d.cfg.Cache.Hooks; h != nil && h.Write != nil {
+						h.Write(op.Time, op.File, op.Range, cache.CauseConcurrent, d.cfg.Model.StagesWritesInNVRAM())
+					}
 				}
 			}
-			d.server.Write(op.Client, op.File)
-			return nil
+		} else if owned {
+			for _, d := range l.steppers {
+				d.models[op.Client].Write(op.Time, op.File, op.Range)
+			}
 		}
-		if owned {
-			m.Write(op.Time, op.File, op.Range)
-		}
-		d.server.Write(op.Client, op.File)
+		l.server.Write(op.Client, op.File)
 
 	case prep.DeleteRange:
 		// Deletion is cluster-visible: every client's cached copy of the
 		// dead bytes is discarded, and the writer's dirty bytes die in
 		// place (absorption). Client order, not map order: the models'
 		// hooks feed a shared server whose replay must be deterministic.
-		for _, c := range d.clientOrder() {
-			d.curClient = c
-			d.models[c].Advance(op.Time)
-			d.models[c].DeleteRange(op.Time, op.File, op.Range)
+		tc := l.touched[op.File]
+		for i, d := range l.steppers {
+			// Every client's clock still advances at the delete timestamp;
+			// the block walk runs only where blocks can exist.
+			if !l.noAdvance[i] {
+				for _, c := range d.clientOrder() {
+					d.curClient = c
+					d.models[c].Advance(op.Time)
+				}
+			}
+			for _, c := range tc {
+				d.curClient = c
+				d.models[c].DeleteRange(op.Time, op.File, op.Range)
+			}
+			d.curClient = op.Client
+			// The delete hook fires in the issuing client's shard, keeping
+			// it exactly-once across a sharded run, as in a sequential one.
+			if h := d.cfg.Cache.Hooks; owned && h != nil && h.Delete != nil {
+				h.Delete(op.Time, op.File, op.Range)
+			}
 		}
-		d.curClient = op.Client
-		// The delete hook fires in the issuing client's shard, keeping it
-		// exactly-once across a sharded run, as in a sequential one.
-		if h := d.cfg.Cache.Hooks; owned && h != nil && h.Delete != nil {
-			h.Delete(op.Time, op.File, op.Range)
-		}
-		if size := d.sizes[op.File]; op.Range.Start == 0 && op.Range.End >= size {
-			delete(d.sizes, op.File)
-			d.server.Deleted(op.File)
+		if size := l.sizes[op.File]; op.Range.Start == 0 && op.Range.End >= size {
+			// No cache holds any byte of the file now, so it leaves the
+			// touched index with the rest of its per-file state.
+			delete(l.sizes, op.File)
+			delete(l.touched, op.File)
+			l.server.Deleted(op.File)
 		} else if op.Range.End >= size {
-			d.sizes[op.File] = op.Range.Start
+			l.sizes[op.File] = op.Range.Start
 		}
 
 	case prep.Fsync:
 		if owned {
-			m.Fsync(op.Time, op.File)
+			for _, d := range l.steppers {
+				d.models[op.Client].Fsync(op.Time, op.File)
+			}
 		}
 		// Volatile caches flush to the server's disk on fsync; the server
 		// must learn that whether or not this shard owns the client, and
-		// the rule depends only on the configured model kind (every
-		// client's model is constructed with cfg.Model).
-		if d.cfg.Model == cache.ModelVolatile {
-			d.server.Flushed(op.Client, op.File)
+		// the rule depends only on the configured model kind. A volatile
+		// lockstep has width one (NewBroadcast rejects the model).
+		if l.steppers[0].cfg.Model == cache.ModelVolatile {
+			l.server.Flushed(op.Client, op.File)
 		}
 
 	case prep.MigrateFlush:
 		if owned {
-			m.FlushAll(op.Time, cache.CauseMigration)
+			for _, d := range l.steppers {
+				d.models[op.Client].FlushAll(op.Time, cache.CauseMigration)
+			}
 		}
-		d.server.FlushedClient(op.Client)
+		l.server.FlushedClient(op.Client)
 
 	default:
 		return fmt.Errorf("sim: unknown op kind %v", op.Kind)
+	}
+
+	for _, d := range l.steppers {
+		d.idx++
 	}
 	return nil
 }
