@@ -71,10 +71,11 @@ lap bench-smoke
 go run ./cmd/nvbench -stream-smoke
 lap stream-smoke
 
-# Sharded-pipeline smoke: the Figure 2/3 sweeps rendered sharded at -j 4
-# must be byte-identical to the sequential render, and on a box with
-# >= 4 CPUs the sharded run must be at least 1.5x faster (the speedup
-# gate self-skips on smaller boxes; the divergence gate always runs).
+# Parallel-pipeline smoke: the Figure 2/3 sweeps rendered at -j 4 (Figure
+# 2 parallel across traces, Figure 3 also across client shards) must be
+# byte-identical to the -j 1 render, and on a box with >= 4 CPUs the -j 4
+# run must be at least 1.5x faster (the speedup gate self-skips on
+# smaller boxes; the divergence gate always runs).
 go run ./cmd/nvbench -shard-smoke
 lap shard-smoke
 

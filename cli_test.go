@@ -93,8 +93,9 @@ func TestCLI(t *testing.T) {
 		t.Fatalf("nvsim -durable -durable-lfs output: %s", out)
 	}
 
-	// Flag validation: bad fault specs, out-of-range crash points, and
-	// non-positive worker counts must fail with self-explaining messages.
+	// Flag validation: bad fault specs, out-of-range crash points,
+	// non-positive worker counts and removed flags must fail with
+	// self-explaining messages.
 	fail := func(wantMention string, name string, args ...string) {
 		t.Helper()
 		out, err := exec.Command(bin(name), args...).CombinedOutput()
@@ -113,6 +114,11 @@ func TestCLI(t *testing.T) {
 	fail("not positive", "nvreport", "-j", "0", "-exp", "table1")
 	fail("not positive", "nvreport", "-j", "-3", "-exp", "table1")
 	fail("not positive", "nvreport", "-scale", "0", "-exp", "table1")
+	// Shard widths follow the worker count (nvreport) or GOMAXPROCS
+	// (nvsim); there is no knob to set them.
+	fail("not defined: -shards", "nvreport", "-shards", "2", "-exp", "table1")
+	fail("not defined: -shards", "nvsim", "-file", tracePath, "-shards", "2")
+	fail("not defined: -j", "nvsim", "-file", tracePath, "-j", "2")
 
 	// The server study.
 	out = run("nvlfs", "-fs", "/user6", "-days", "0.2", "-compare")

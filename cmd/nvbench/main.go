@@ -10,7 +10,7 @@
 //	nvbench -input old_bench.txt      # parse a saved log instead of running
 //	nvbench -pkg ./... -bench Sim     # restrict packages / benchmarks
 //	nvbench -stream-smoke             # bounded-memory check only (CI gate)
-//	nvbench -shard-smoke              # sharded-vs-sequential divergence and speedup check (CI gate)
+//	nvbench -shard-smoke              # -j 4 vs -j 1 divergence and speedup check (CI gate)
 //	nvbench -fleet-smoke              # population-scale bounded-memory and determinism check (CI gate)
 //
 // The JSON maps benchmark name → {ns_per_op, b_per_op, allocs_per_op};
@@ -51,9 +51,9 @@ type File struct {
 	// the streaming pipeline at a base trace length and at the grown
 	// length (see streammem.go). Absent when parsing a saved log.
 	StreamingMemory *StreamMemory `json:"streaming_memory,omitempty"`
-	// ShardSpeedup, when present, records the intra-trace sharding
-	// measurement: sequential vs sharded Figure 2/3 renders, byte-compared
-	// and timed (see shardsmoke.go). Absent when parsing a saved log.
+	// ShardSpeedup, when present, records the parallel-pipeline
+	// measurement: -j 1 vs -j 4 Figure 2/3 renders, byte-compared and
+	// timed (see shardsmoke.go). Absent when parsing a saved log.
 	ShardSpeedup *ShardSpeedup `json:"shard_speedup,omitempty"`
 	// DurableSmoke, when present, records the kill/reopen crash check
 	// against a real mmap image file and the measured msync commit cost

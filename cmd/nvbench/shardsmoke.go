@@ -9,12 +9,12 @@ import (
 	"nvramfs"
 )
 
-// ShardSpeedup is the sharded-pipeline evidence: the Figure 2 and
-// Figure 3 sweeps rendered sequentially (-j 1, shard width 1) and again
-// sharded on a worker pool, with the renders byte-compared and both
-// runs timed. OutputIdentical is the correctness half of the record and
-// must always be true; Speedup is the performance half and only means
-// anything when the box has the cores (NumCPU).
+// ShardSpeedup is the parallel-pipeline evidence: the Figure 2 and
+// Figure 3 sweeps rendered on a one-worker engine (-j 1, so client-shard
+// width 1) and again on a worker pool, with the renders byte-compared
+// and both runs timed. OutputIdentical is the correctness half of the
+// record and must always be true; Speedup is the performance half and
+// only means anything when the box has the cores (NumCPU).
 type ShardSpeedup struct {
 	Scale           float64 `json:"scale"`
 	NumCPU          int     `json:"num_cpu"`
@@ -26,14 +26,13 @@ type ShardSpeedup struct {
 	OutputIdentical bool    `json:"output_identical"`
 }
 
-// renderShardTargets renders the sweeps the sharded pipeline
-// accelerates — Figure 2 (file-sharded lifetime analyses) and Figure 3
-// (client-sharded broadcast simulations) — at one (workers, shards)
-// point, returning the rendered bytes and the wall-clock time.
-func renderShardTargets(scale float64, workers, shards int) (string, time.Duration, error) {
+// renderShardTargets renders Figure 2 (one lifetime analysis per trace,
+// parallel across traces) and Figure 3 (client-sharded broadcast rows,
+// at shard width min(8, workers)) on an engine of the given worker
+// count, returning the rendered bytes and the wall-clock time.
+func renderShardTargets(scale float64, workers int) (string, time.Duration, error) {
 	ws := nvramfs.NewWorkspace(scale)
 	ws.SetEngine(nvramfs.NewEngine(workers))
-	ws.SetShards(shards)
 	var buf bytes.Buffer
 	start := time.Now()
 	f2, err := nvramfs.Figure2(ws)
@@ -53,17 +52,17 @@ func renderShardTargets(scale float64, workers, shards int) (string, time.Durati
 	return buf.String(), time.Since(start), nil
 }
 
-// measureShardSpeedup times the sequential and sharded renders and
+// measureShardSpeedup times the one-worker and pooled renders and
 // byte-compares their output. workers <= 0 picks GOMAXPROCS.
 func measureShardSpeedup(scale float64, workers int) (*ShardSpeedup, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	seqOut, seqT, err := renderShardTargets(scale, 1, 1)
+	seqOut, seqT, err := renderShardTargets(scale, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sequential render: %w", err)
 	}
-	shardOut, shardT, err := renderShardTargets(scale, workers, 0)
+	shardOut, shardT, err := renderShardTargets(scale, workers)
 	if err != nil {
 		return nil, fmt.Errorf("sharded render: %w", err)
 	}

@@ -29,10 +29,9 @@ type Metrics struct {
 	// wall-clock time when workers run in parallel).
 	Busy time.Duration
 	// PeakConcurrent is the high-water mark of simultaneously executing
-	// work units (grid jobs plus borrowed Nested helpers). With a single
-	// top-level Run in flight it never exceeds Workers(): that is the
-	// shared-token-budget guarantee that keeps grid-level -j and
-	// intra-trace shards from oversubscribing the pool when they compose.
+	// jobs. It never exceeds Workers(), however many grids run at once:
+	// that is the shared-token-budget guarantee that keeps concurrent
+	// grids from oversubscribing the pool.
 	PeakConcurrent int64
 }
 
@@ -40,18 +39,17 @@ type Metrics struct {
 // New. A nil *Engine is valid everywhere and degenerates to a serial
 // runner with no hooks or metrics.
 //
-// Concurrency is governed by a shared token budget of Workers()-1 tokens:
-// a goroutine entering Run participates directly in its own grid (no
-// token needed), while every extra goroutine — Run's pool workers and
-// the helpers Nested borrows for intra-job shard parallelism — must hold
-// a token. Tokens are what bound total concurrency, so nesting Nested
-// under Run (or running several grids at once) cannot multiply the
-// worker count; when the budget is exhausted the nested work simply runs
-// serially on its caller.
+// Concurrency is governed by a shared token budget of Workers() tokens:
+// every goroutine that runs a grid's jobs — the caller of Run and each
+// pool worker Run adds — holds a token while it does. Tokens are what
+// bound total concurrency, so running several grids at once cannot
+// multiply the worker count; a grid that finds the budget exhausted
+// waits for a token. A job must therefore not call Run on its own
+// engine: with every token held by outer jobs, the inner grid would
+// wait forever.
 type Engine struct {
 	workers int
-	// tokens holds the workers-1 transferable concurrency slots; nil for
-	// a single-worker engine, where everything runs on callers.
+	// tokens holds the workers transferable concurrency slots.
 	tokens chan struct{}
 
 	mu    sync.Mutex // serializes hook callbacks
@@ -72,11 +70,9 @@ func New(workers int) *Engine {
 		workers = runtime.NumCPU()
 	}
 	e := &Engine{workers: workers}
-	if workers > 1 {
-		e.tokens = make(chan struct{}, workers-1)
-		for i := 0; i < workers-1; i++ {
-			e.tokens <- struct{}{}
-		}
+	e.tokens = make(chan struct{}, workers)
+	for i := 0; i < workers; i++ {
+		e.tokens <- struct{}{}
 	}
 	return e
 }
@@ -87,18 +83,6 @@ func (e *Engine) Workers() int {
 		return 1
 	}
 	return e.workers
-}
-
-// Spare reports how many concurrency tokens are free right now — an
-// instantaneous, advisory reading. Callers use it to size opportunistic
-// fan-outs (how many shards are worth splitting into) before calling
-// Nested; the answer can be stale by the time the borrow happens, which
-// is safe because Nested borrows non-blockingly anyway.
-func (e *Engine) Spare() int {
-	if e == nil || e.tokens == nil {
-		return 0
-	}
-	return len(e.tokens)
 }
 
 // SetHooks installs progress callbacks. Not safe to call concurrently
@@ -147,9 +131,12 @@ func (e *Engine) Run(ctx context.Context, n int, fn func(ctx context.Context, i 
 		firstErr error
 	)
 	work := func() {
-		for {
+		// Check for cancellation before claiming an index, never after: a
+		// claimed job always runs, so a failure can only cancel jobs above
+		// every claimed index and the lowest-indexed failure is reported.
+		for runCtx.Err() == nil {
 			i := int(next.Add(1)) - 1
-			if i >= n || runCtx.Err() != nil {
+			if i >= n {
 				return
 			}
 			e.jobStarted(i, n)
@@ -169,9 +156,12 @@ func (e *Engine) Run(ctx context.Context, n int, fn func(ctx context.Context, i 
 		}
 	}
 
-	// The caller participates in its own grid; extra workers each hold a
-	// token from the shared budget for their whole stint, so concurrent
-	// grids and nested shard helpers all draw down the same cap.
+	// Every goroutine running this grid's jobs, the caller included,
+	// holds a token from the shared budget for its whole stint, so
+	// concurrent grids all draw down the same cap.
+	if !e.acquire(runCtx) {
+		return ctx.Err()
+	}
 	helpers := e.Workers() - 1
 	if helpers > n-1 {
 		helpers = n - 1
@@ -189,6 +179,7 @@ func (e *Engine) Run(ctx context.Context, n int, fn func(ctx context.Context, i 
 		}()
 	}
 	work()
+	e.release()
 	wg.Wait()
 	if errIndex >= 0 {
 		return firstErr
@@ -196,69 +187,8 @@ func (e *Engine) Run(ctx context.Context, n int, fn func(ctx context.Context, i 
 	return ctx.Err()
 }
 
-// Nested runs fn(i) for every i in [0, n), borrowing spare workers from
-// the engine's shared token budget for intra-job parallelism. The calling
-// goroutine always participates, so Nested makes progress — serially, in
-// the worst case — even when the grid pool has the budget fully occupied,
-// and borrowed helpers are acquired non-blockingly, so composing a -j
-// grid with per-trace shards can neither oversubscribe the worker cap nor
-// deadlock. fn must write results into index-addressed slots; like Run,
-// the error of the lowest-indexed failed item is reported. Nested does
-// not fire job hooks (it is sub-job granularity) and does not cancel
-// sibling items on failure beyond observing ctx.
-func (e *Engine) Nested(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		errIndex = -1
-		firstErr error
-	)
-	work := func(counted bool) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || ctx.Err() != nil {
-				return
-			}
-			if counted {
-				e.enter()
-			}
-			err := fn(i)
-			if counted {
-				e.exit()
-			}
-			if err != nil {
-				mu.Lock()
-				if errIndex < 0 || i < errIndex {
-					errIndex, firstErr = i, err
-				}
-				mu.Unlock()
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for borrowed := 1; borrowed < n && e.tryAcquire(); borrowed++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer e.release()
-			work(true)
-		}()
-	}
-	work(false)
-	wg.Wait()
-	if errIndex >= 0 {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// enter/exit track the number of concurrently executing work units for
-// the PeakConcurrent metric. A unit is a grid job or a borrowed Nested
-// helper; a Nested caller is already inside a counted job (or is an
-// external caller) and is not recounted.
+// enter/exit track the number of concurrently executing jobs for the
+// PeakConcurrent metric.
 func (e *Engine) enter() {
 	if e == nil {
 		return
@@ -279,12 +209,10 @@ func (e *Engine) exit() {
 }
 
 // acquire blocks for a concurrency token until ctx is done; it reports
-// whether a token was obtained. Safe only from goroutines that hold no
-// token themselves (Run's pool workers); everything else must use
-// tryAcquire so the budget cannot deadlock.
+// whether a token was obtained. A nil engine has no budget to draw on.
 func (e *Engine) acquire(ctx context.Context) bool {
-	if e == nil || e.tokens == nil {
-		return false
+	if e == nil {
+		return true
 	}
 	select {
 	case <-e.tokens:
@@ -294,21 +222,10 @@ func (e *Engine) acquire(ctx context.Context) bool {
 	}
 }
 
-// tryAcquire takes a concurrency token only if one is free right now.
-func (e *Engine) tryAcquire() bool {
-	if e == nil || e.tokens == nil {
-		return false
-	}
-	select {
-	case <-e.tokens:
-		return true
-	default:
-		return false
-	}
-}
-
 func (e *Engine) release() {
-	e.tokens <- struct{}{}
+	if e != nil {
+		e.tokens <- struct{}{}
+	}
 }
 
 // RunFuncs executes a heterogeneous job list (each closure writes its own

@@ -133,69 +133,46 @@ func TestHooksSerializedAndCounted(t *testing.T) {
 }
 
 // TestSharedTokenBudgetCapsNestedConcurrency is the oversubscription
-// regression test: a -j4 grid whose every job fans out into 6 nested
-// shard items must never have more than 4 work units executing at once,
-// because grid workers and nested helpers draw down one shared token
-// budget. Before the budget existed, 8 grid jobs × 6 shard helpers could
-// put dozens of goroutines on the CPUs at once.
+// regression test: two -j4 grids submitted to one engine at once must
+// never have more than 4 jobs executing together, because every grid's
+// pool workers draw down one shared token budget. Without the budget,
+// each grid would add its own 3 workers to its caller.
 func TestSharedTokenBudgetCapsNestedConcurrency(t *testing.T) {
 	const workers = 4
 	e := New(workers)
 	var running, peak atomic.Int64
-	err := e.Run(context.Background(), 8, func(ctx context.Context, i int) error {
-		return e.Nested(ctx, 6, func(j int) error {
-			cur := running.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
+	job := func(context.Context, int) error {
+		cur := running.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
 			}
-			time.Sleep(2 * time.Millisecond)
-			running.Add(-1)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+		running.Add(-1)
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = e.Run(context.Background(), 24, job)
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("grid %d: %v", g, err)
+		}
 	}
 	if p := peak.Load(); p > workers {
-		t.Fatalf("counted %d concurrent work units, budget caps at %d", p, workers)
+		t.Fatalf("counted %d concurrent jobs, budget caps at %d", p, workers)
 	}
 	if m := e.Metrics(); m.PeakConcurrent > workers {
 		t.Fatalf("PeakConcurrent = %d, budget caps at %d", m.PeakConcurrent, workers)
-	}
-}
-
-func TestNestedLowestIndexErrorWins(t *testing.T) {
-	e := New(8)
-	err := e.Run(context.Background(), 1, func(ctx context.Context, _ int) error {
-		return e.Nested(ctx, 32, func(i int) error {
-			return fmt.Errorf("shard %d failed", i)
-		})
-	})
-	if err == nil || err.Error() != "shard 0 failed" {
-		t.Fatalf("err = %v, want shard 0's", err)
-	}
-}
-
-func TestNestedNilEngineIsSerial(t *testing.T) {
-	var e *Engine
-	var order []int
-	err := e.Nested(context.Background(), 10, func(i int) error {
-		order = append(order, i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("nil-engine Nested ran out of order: %v", order)
-		}
-	}
-	if len(order) != 10 {
-		t.Fatalf("ran %d of 10 items", len(order))
 	}
 }
 

@@ -206,22 +206,6 @@ func (s *Set) OverlapLen(r Range) int64 {
 	return n
 }
 
-// AddSet inserts every byte of o into s.
-func (s *Set) AddSet(o *Set) {
-	for _, r := range o.rs {
-		s.Add(r)
-	}
-}
-
-// RemoveSet deletes every byte of o from s, returning bytes removed.
-func (s *Set) RemoveSet(o *Set) int64 {
-	var n int64
-	for _, r := range o.rs {
-		n += s.Remove(r)
-	}
-	return n
-}
-
 // Min returns the smallest byte in the set; ok is false if the set is empty.
 func (s *Set) Min() (b int64, ok bool) {
 	if len(s.rs) == 0 {

@@ -13,7 +13,6 @@ import (
 	"nvramfs/internal/consist"
 	"nvramfs/internal/interval"
 	"nvramfs/internal/prep"
-	"nvramfs/internal/stats"
 )
 
 // DeathCause says how a byte died in the (infinite) non-volatile cache.
@@ -289,16 +288,6 @@ func (a *Analysis) DeadWithin(delay int64) int64 {
 	return a.ageBytes[i-1]
 }
 
-// AgeHistogram buckets the death log's bytes by lifetime (microseconds,
-// power-of-two buckets) — the raw distribution behind Figure 2.
-func (a *Analysis) AgeHistogram() *stats.LogHistogram {
-	h := stats.NewLogHistogram()
-	for _, d := range a.Deaths {
-		h.Add(d.Age(), d.Bytes)
-	}
-	return h
-}
-
 // NetWriteFracAt returns the fraction of written bytes that must go to the
 // server when dirty bytes are flushed after a fixed write-back delay from a
 // cache of infinite size — the y-axis of Figure 2. Bytes that die within
@@ -459,8 +448,8 @@ func (s *Schedule) Blocks() int { return s.n }
 // ForEach visits every block's modification-time slice. Visit order is a
 // function of the table's internal layout: deterministic for a given
 // build history, but not sorted and not comparable across differently
-// built (for example sharded versus sequential) schedules — callers
-// needing a canonical order must sort the visited ids themselves. The
+// built schedules — callers needing a canonical order must sort the
+// visited ids themselves. The
 // slices are owned by the schedule and read-only.
 func (s *Schedule) ForEach(fn func(id cache.BlockID, ts []int64)) {
 	for i := range s.slots {

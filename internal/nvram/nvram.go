@@ -174,11 +174,6 @@ func (s *Store) Detach() *Store {
 	return moved
 }
 
-// Keys returns how many keys each region currently holds.
-func (s *Store) Keys() (volatile, nonVolatile int) {
-	return len(s.volatile), len(s.nonVolatile)
-}
-
 // WriteBuffer is a byte-counting model of the non-volatile write buffer a
 // server places in front of its disk: fsync'd data parks here (already
 // permanent, so the fsync completes without a disk access) until a full

@@ -8,15 +8,14 @@ import (
 	"nvramfs/internal/engine"
 )
 
-// renderShardSlice renders the drivers whose pipelines shard — the
-// lifetime-backed Figure 2/Table 2 (file-sharded analysis), the
-// broadcast-backed Figures 3/4 (client-sharded simulation) — at one
-// (workers, shards) point.
-func renderShardSlice(t *testing.T, workers, shards int) string {
+// renderShardSlice renders the drivers whose pipelines parallelize
+// within a trace — the lifetime-backed Figure 2/Table 2 and the
+// client-sharded broadcast rows of Figures 3/4, whose shard width
+// follows the worker count — on an engine of the given size.
+func renderShardSlice(t *testing.T, workers int) string {
 	t.Helper()
 	ws := NewWorkspace(0.02)
 	ws.SetEngine(engine.New(workers))
-	ws.SetShards(shards)
 	var buf bytes.Buffer
 	renderAll := func(r interface{ Render(io.Writer) error }, err error) {
 		t.Helper()
@@ -34,62 +33,30 @@ func renderShardSlice(t *testing.T, workers, shards int) string {
 	return buf.String()
 }
 
-// TestReportShardInvariance is the tentpole's output contract at the
-// report layer: the rendered figures are byte-identical at every shard
-// count, including the prime 17 that leaves shards unevenly loaded, and
-// regardless of worker count.
+// TestReportShardInvariance is the sharding output contract at the
+// report layer: the rendered figures are byte-identical at every worker
+// count, and so at every client-shard width, including the 3 that leaves
+// shards unevenly loaded.
 func TestReportShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-point render sweep")
 	}
-	want := renderShardSlice(t, 1, 1)
-	for _, pt := range []struct{ workers, shards int }{
-		{1, 2},
-		{4, 2},
-		{4, 8},
-		{8, 17},
-	} {
-		got := renderShardSlice(t, pt.workers, pt.shards)
-		if got != want {
-			t.Errorf("-j %d shards=%d: report output diverges from sequential render",
-				pt.workers, pt.shards)
+	want := renderShardSlice(t, 1)
+	for _, workers := range []int{2, 3, 8} {
+		if got := renderShardSlice(t, workers); got != want {
+			t.Errorf("-j %d: report output diverges from the -j 1 render", workers)
 		}
 	}
 }
 
-// TestShardWidthSelection pins the sizing policy: forced widths win,
-// automatic grid width tracks the engine's worker count capped at
-// maxShardWidth, and the opportunistic build width collapses to 1 when
-// the engine has no spare capacity.
+// TestShardWidthSelection pins the sizing rule: the Figure 3/4 client
+// shard width is min(maxShardWidth, Workers()).
 func TestShardWidthSelection(t *testing.T) {
 	ws := NewWorkspace(0.02)
-	ws.SetEngine(engine.New(1))
-	if w := ws.ShardWidth(); w != 1 {
-		t.Errorf("one-worker auto width = %d, want 1", w)
-	}
-	if w := ws.buildShardWidth(); w != 1 {
-		t.Errorf("one-worker build width = %d, want 1", w)
-	}
-	ws.SetEngine(engine.New(4))
-	if w := ws.ShardWidth(); w != 4 {
-		t.Errorf("four-worker auto width = %d, want 4", w)
-	}
-	if w := ws.buildShardWidth(); w != 4 {
-		t.Errorf("idle four-worker build width = %d, want 4", w)
-	}
-	ws.SetEngine(engine.New(100))
-	if w := ws.ShardWidth(); w != maxShardWidth {
-		t.Errorf("hundred-worker auto width = %d, want cap %d", w, maxShardWidth)
-	}
-	ws.SetShards(17)
-	if w := ws.ShardWidth(); w != 17 {
-		t.Errorf("forced width = %d, want 17", w)
-	}
-	if w := ws.buildShardWidth(); w != 17 {
-		t.Errorf("forced build width = %d, want 17", w)
-	}
-	ws.SetShards(0)
-	if w := ws.ShardWidth(); w != maxShardWidth {
-		t.Errorf("width after reset = %d, want %d", w, maxShardWidth)
+	for _, workers := range []int{1, 2, 3, 8, 9, 100} {
+		ws.SetEngine(engine.New(workers))
+		if got, want := ws.ShardWidth(), min(maxShardWidth, workers); got != want {
+			t.Errorf("%d workers: width %d, want %d", workers, got, want)
+		}
 	}
 }

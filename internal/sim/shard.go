@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"nvramfs/internal/cache"
 	"nvramfs/internal/prep"
@@ -9,24 +10,15 @@ import (
 
 // RunSharded simulates a canonical op stream by client shards: K
 // steppers, each owning the clients with id % K == k, every one
-// replaying a fresh cursor over the full stream, merged into the exact
-// sequential Result (see ShardSel for why the decomposition is exact).
-// par, when non-nil, runs the K shard bodies with whatever parallelism
-// it can offer — the report drivers pass engine.Nested so shard helpers
-// draw down the shared -j token budget; nil runs them serially. shards
-// <= 1 degenerates to Run.
+// replaying a fresh cursor over the full stream on its own goroutine,
+// merged into the exact sequential Result (see ShardSel for why the
+// decomposition is exact). shards <= 1 degenerates to Run.
 //
-// Fault injection and caller hooks are rejected: the fault stage feeds
-// cache-dependent write-backs into the server's replay detector (so
-// shard replicas would diverge), and hooks would observe per-shard
-// streams in nondeterministic interleavings.
-func RunSharded(rep prep.Replayable, cfg Config, shards int, par func(n int, fn func(i int) error) error) (*Result, error) {
-	if cfg.Faults != nil {
-		return nil, fmt.Errorf("sim: sharded run cannot inject faults")
-	}
-	if cfg.Cache.Hooks != nil {
-		return nil, fmt.Errorf("sim: sharded run cannot install hooks")
-	}
+// With more than one shard, fault injection and caller hooks are
+// rejected: the fault stage feeds cache-dependent write-backs into the
+// server's replay detector (so shard replicas would diverge), and hooks
+// would observe per-shard streams in nondeterministic interleavings.
+func RunSharded(rep prep.Replayable, cfg Config, shards int) (*Result, error) {
 	if shards <= 1 {
 		src, err := rep.Ops()
 		if err != nil {
@@ -34,41 +26,45 @@ func RunSharded(rep prep.Replayable, cfg Config, shards int, par func(n int, fn 
 		}
 		return Run(src, cfg)
 	}
+	if cfg.Faults != nil {
+		return nil, fmt.Errorf("sim: sharded run cannot inject faults")
+	}
+	if cfg.Cache.Hooks != nil {
+		return nil, fmt.Errorf("sim: sharded run cannot install hooks")
+	}
 	results := make([]*Result, shards)
-	body := func(k int) error {
-		src, err := rep.Ops()
-		if err != nil {
-			return err
-		}
-		scfg := cfg
-		scfg.Shard = ShardSel{Index: k, Shards: shards}
-		// Arenas are single-goroutine free lists; each shard must build
-		// its own rather than share the caller's.
-		scfg.Cache.Arena = cache.NewBlockArena()
-		if err := scfg.Shard.validate(); err != nil {
-			return err
-		}
-		res, err := Run(src, scfg)
-		if err != nil {
-			return err
-		}
-		results[k] = res
-		return nil
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for k := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[k], errs[k] = runShard(rep, cfg, ShardSel{Index: k, Shards: shards})
+		}()
 	}
-	if par == nil {
-		par = func(n int, fn func(i int) error) error {
-			for i := 0; i < n; i++ {
-				if err := fn(i); err != nil {
-					return err
-				}
-			}
-			return nil
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := par(shards, body); err != nil {
-		return nil, err
 	}
 	return MergeShardResults(results)
+}
+
+// runShard simulates one client shard over a fresh cursor.
+func runShard(rep prep.Replayable, cfg Config, sel ShardSel) (*Result, error) {
+	if err := sel.validate(); err != nil {
+		return nil, err
+	}
+	src, err := rep.Ops()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Shard = sel
+	// Arenas are single-goroutine free lists; each shard must build its
+	// own rather than share the caller's.
+	cfg.Cache.Arena = cache.NewBlockArena()
+	return Run(src, cfg)
 }
 
 // MergeShardResults combines per-shard results into the sequential

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"nvramfs/internal/cache"
@@ -27,31 +26,11 @@ func shardModelConfigs() []Config {
 	}
 }
 
-// parGo runs shard bodies on real goroutines so the -race pass can see
-// any sharing between shards.
-func parGo(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TestRunShardedMatchesSequential holds the client-sharded runner equal
 // to the sequential one — full Result, per-client traffic included —
-// across traces, all four cache organizations, and every shard count,
-// with the shard bodies on real goroutines.
+// across traces, all four cache organizations, and every shard count.
+// RunSharded runs its shard bodies on their own goroutines, so the -race
+// pass sees any sharing between shards.
 func TestRunShardedMatchesSequential(t *testing.T) {
 	for _, tr := range []int{2, 7} {
 		ops := traceOps(t, tr, 0.02)
@@ -62,7 +41,7 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range shardCounts {
-				got, err := RunSharded(rep, cfg, k, parGo)
+				got, err := RunSharded(rep, cfg, k)
 				if err != nil {
 					t.Fatalf("trace %d %v shards=%d: %v", tr, cfg.Model, k, err)
 				}
@@ -116,12 +95,12 @@ func TestRunShardedRejectsCoupledState(t *testing.T) {
 
 	cfg := base
 	cfg.Faults = &faults.Profile{}
-	if _, err := RunSharded(rep, cfg, 2, nil); err == nil {
+	if _, err := RunSharded(rep, cfg, 2); err == nil {
 		t.Error("fault injection accepted in sharded run")
 	}
 	cfg = base
 	cfg.Cache.Hooks = &cache.ServerHooks{}
-	if _, err := RunSharded(rep, cfg, 2, nil); err == nil {
+	if _, err := RunSharded(rep, cfg, 2); err == nil {
 		t.Error("hooks accepted in sharded run")
 	}
 	if _, err := MergeShardResults(nil); err == nil {

@@ -438,44 +438,32 @@ func (t *Trace) simConfig(cfg CacheConfig) (sim.Config, error) {
 	}, nil
 }
 
+// maxCacheShards caps RunCache's client-shard width: beyond it the
+// replicated per-shard work (decode, canonicalize, consistency protocol)
+// outgrows the per-shard savings.
+const maxCacheShards = 8
+
 // RunCache simulates the trace under the configured client cache model.
+// Without fault injection it splits the clients into min(8, GOMAXPROCS)
+// shards that each replay the op stream on their own goroutine, and
+// merges them into exactly the sequential answer (the merge cross-checks
+// the shards' consistency-protocol replicas and fails loudly on
+// divergence). Fault injection couples clients through the shared
+// server model, so a config with Faults runs as a single shard.
 func (t *Trace) RunCache(cfg CacheConfig) (*CacheResult, error) {
-	sc, err := t.simConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	src, err := t.Ops()
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(src, sc)
+	return t.runCache(cfg, min(maxCacheShards, runtime.GOMAXPROCS(0)))
 }
 
-// RunCacheSharded simulates the trace under the configured cache model
-// with client-sharded parallelism: `shards` steppers each replay the
-// full op stream but simulate only their own clients' caches, running
-// on up to `workers` goroutines, and the per-shard results merge into
-// exactly RunCache's answer (the merge cross-checks the shards'
-// consistency-protocol replicas and fails loudly on divergence).
-// shards <= 1 degenerates to RunCache; shards <= 0 and workers <= 0
-// pick runtime.GOMAXPROCS(0), capped at 8 shards. Fault injection
-// (CacheConfig.Faults) is not shardable and is rejected.
-func (t *Trace) RunCacheSharded(cfg CacheConfig, shards, workers int) (*CacheResult, error) {
+// runCache is RunCache at a given client-shard width.
+func (t *Trace) runCache(cfg CacheConfig, shards int) (*CacheResult, error) {
 	sc, err := t.simConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > 8 {
-			shards = 8
-		}
+	if sc.Faults != nil {
+		shards = 1
 	}
-	eng := engine.New(workers)
-	par := func(n int, fn func(i int) error) error {
-		return eng.Nested(context.Background(), n, fn)
-	}
-	return sim.RunSharded(t, sc, shards, par)
+	return sim.RunSharded(t, sc, shards)
 }
 
 // CrashCache simulates the trace's first `at` operations under the

@@ -2,6 +2,8 @@ package nvramfs
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +180,49 @@ func TestCacheRunDeterminism(t *testing.T) {
 	}
 	if a.Traffic != b.Traffic {
 		t.Fatal("same configuration produced different traffic")
+	}
+}
+
+// TestRunCacheShardWidthInvariant holds RunCache's client sharding to
+// the sequential answer: every model under LRU and omniscient replacement
+// yields the same full result, per-client traffic included, at shard
+// width 1 and at the uneven width 3. A config with fault injection must
+// still succeed on a multi-CPU run, because RunCache falls back to one
+// shard for it.
+func TestRunCacheShardWidthInvariant(t *testing.T) {
+	tr, err := StandardTrace(7, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{"volatile", "write-aside", "unified", "hybrid"} {
+		for _, policy := range []string{"lru", "omniscient"} {
+			cfg := CacheConfig{Model: model, Policy: policy, VolatileMB: 2, NVRAMMB: 0.5}
+			want, err := tr.runCache(cfg, 1)
+			if err != nil {
+				t.Fatalf("%s/%s width 1: %v", model, policy, err)
+			}
+			got, err := tr.runCache(cfg, 3)
+			if err != nil {
+				t.Fatalf("%s/%s width 3: %v", model, policy, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: width-3 result diverges from width 1", model, policy)
+			}
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := CacheConfig{Model: "unified", VolatileMB: 2, NVRAMMB: 0.5, Faults: "seed=7,drop=0.2"}
+	got, err := tr.RunCache(cfg)
+	if err != nil {
+		t.Fatalf("faulty config at GOMAXPROCS 4: %v", err)
+	}
+	want, err := tr.runCache(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("faulty config at GOMAXPROCS 4 diverges from the single-shard run")
 	}
 }
 
